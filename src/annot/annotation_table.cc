@@ -78,7 +78,8 @@ Result<AnnotationId> AnnotationTable::Add(const std::string& xml_body,
   records_[meta.id] = rid;
   AnnotationId id = meta.id;
   metas_[id] = std::move(meta);
-  if (w != nullptr) w->annotations.emplace_back(this, id);
+  if (w == nullptr) return id;  // no ambient writer: an ancient annotation
+  w->annotations.emplace_back(this, id);
   if (undo_ && undo_->recording()) {
     undo_->Record("add annotation " + std::to_string(id),
                   [this, id, next_before] {

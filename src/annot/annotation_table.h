@@ -67,8 +67,8 @@ class AnnotationTable {
 
   // Inclusive row intervals covered by at least one live annotation
   // region, unsorted and possibly overlapping. The planner feeds these to
-  // Table::ScanRange/RowIdsInRange to restrict an AWHERE scan to row
-  // ranges that can carry annotations at all.
+  // Table::VisibleRowIdsInRange to restrict an AWHERE scan to row ranges
+  // that can carry annotations at all.
   std::vector<std::pair<RowId, RowId>> LiveRowIntervals(
       const MvccSnapshot* snap = nullptr) const;
 

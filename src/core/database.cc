@@ -80,8 +80,9 @@ Result<std::unique_ptr<Table>> Database::CreatePagedTable(
   return t;
 }
 
-ExecContext Database::MakeContext() {
+ExecContext Database::MakeContext(const MvccSnapshot& snap) {
   ExecContext ctx;
+  ctx.snapshot = &snap;
   ctx.catalog = &catalog_;
   ctx.annotations = &annotations_;
   ctx.provenance = &provenance_;
@@ -152,11 +153,13 @@ bool Database::TableInvolved(const std::string& table) const {
 }
 
 Database::StmtClass Database::Classify(const Statement& stmt) const {
-  // DML runs versioned under the shared gate as long as the target table
-  // drives no cross-cutting machinery: no dependency rule reads or writes
-  // it, and no approval config intercepts its writes. Everything else —
-  // DDL, grants, approvals, ANALYZE, dependency-propagating updates —
-  // keeps the PR-6 exclusive path.
+  // Every mutating statement runs as a versioned transaction; this only
+  // picks the gate it holds. DML takes the shared side as long as the
+  // target table drives no cross-cutting machinery: no dependency rule
+  // reads or writes it, and no approval config intercepts its writes.
+  // Everything else — DDL, grants, approvals, ANALYZE,
+  // dependency-propagating updates — drains transactions and holds the
+  // exclusive side.
   if (const auto* ins = std::get_if<InsertStmt>(&stmt.node)) {
     return TableInvolved(ins->table) ? StmtClass::kExclusive
                                      : StmtClass::kConcurrentDml;
@@ -219,11 +222,7 @@ Result<QueryResult> Database::Execute(std::string_view sql,
       return Status::FailedPrecondition(
           "CHECKPOINT cannot run inside a transaction");
     }
-    if (!dur_) {
-      SharedGateLock g(&gate_);
-      Executor executor(MakeContext(), user);
-      return executor.Execute(stmt);  // deliberate no-op + message
-    }
+    if (!dur_) return ExecuteRead(stmt, user);  // deliberate no-op + message
     (void)LockExclusiveNoTxns(nullptr);
     Status s;
     uint64_t lsn = 0;
@@ -257,7 +256,7 @@ Result<QueryResult> Database::Execute(std::string_view sql,
     {
       SharedGateLock g(&gate_);
       if (Classify(stmt) == StmtClass::kConcurrentDml) {
-        return ExecuteConcurrent(stmt, sql, user);
+        return ExecuteAutocommit(stmt, sql, user);
       }
     }
     return ExecuteExclusive(stmt, sql, user);
@@ -279,9 +278,7 @@ Result<QueryResult> Database::ExecuteRead(const Statement& stmt,
     snap.csn = last_completed_csn_.load(std::memory_order_acquire);
     read_snapshots_.insert(snap.csn);
   }
-  ExecContext ctx = MakeContext();
-  ctx.snapshot = &snap;
-  Executor executor(std::move(ctx), user);
+  Executor executor(MakeContext(snap), user);
   auto result = executor.Execute(stmt);
   {
     std::lock_guard<std::mutex> lock(txn_mu_);
@@ -291,12 +288,12 @@ Result<QueryResult> Database::ExecuteRead(const Statement& stmt,
   return result;
 }
 
-Result<QueryResult> Database::ExecuteConcurrent(const Statement& stmt,
+Result<QueryResult> Database::ExecuteAutocommit(const Statement& stmt,
                                                 std::string_view sql,
                                                 const std::string& user) {
-  // Caller holds the shared gate. writer_mu_ serializes this against
-  // other mutating statements, commits and vacuums; readers sail past on
-  // table latches and snapshot visibility.
+  // Caller holds the gate, shared or exclusive. writer_mu_ serializes
+  // this against other mutating statements, commits and vacuums; readers
+  // sail past on table latches and snapshot visibility.
   std::lock_guard<std::mutex> w(writer_mu_);
   if (dur_ && !dur_->wal) {
     return Status::FailedPrecondition(
@@ -311,9 +308,7 @@ Result<QueryResult> Database::ExecuteConcurrent(const Statement& stmt,
   MvccSnapshot snap{writer.snapshot_csn, writer.txn_id};
   undo_.Begin();
   mvcc_state_.writer = &writer;
-  ExecContext ctx = MakeContext();
-  ctx.snapshot = &snap;
-  Executor executor(std::move(ctx), user);
+  Executor executor(MakeContext(snap), user);
   auto result = executor.Execute(stmt);
   mvcc_state_.writer = nullptr;
   if (!result.ok()) {
@@ -336,7 +331,6 @@ Result<QueryResult> Database::ExecuteConcurrent(const Statement& stmt,
     ps.user = user;
     ps.sql = std::string(sql);
     ps.clock_before = clock_before;
-    ps.versioned = 1;
     ps.snapshot = writer.snapshot_csn;
     BDBMS_RETURN_IF_ERROR(LogCommitted(ps, csn));
   }
@@ -350,39 +344,7 @@ Result<QueryResult> Database::ExecuteExclusive(const Statement& stmt,
   // Cannot fail for a non-transaction caller: it waits (rather than
   // aborts) until open transactions drain.
   (void)LockExclusiveNoTxns(nullptr);
-  auto result = [&]() -> Result<QueryResult> {
-    std::lock_guard<std::mutex> w(writer_mu_);
-    if (dur_ && !dur_->wal) {
-      // The latch must refuse BEFORE execution: applying the statement
-      // in memory and then reporting FailedPrecondition would let a
-      // retrying caller stack up unjournaled in-memory effects.
-      return Status::FailedPrecondition(
-          "durable store is unusable after a write failure; reopen");
-    }
-    // No transaction and no reader is alive, so every retained version
-    // is garbage; the legacy paths below expect chain-free heaps.
-    VacuumAllLocked(UINT64_MAX);
-    const uint64_t clock_before = clock_.Peek();
-    PendingStatement ps;
-    if (dur_) CaptureBases(&ps);
-    undo_.Begin();
-    Executor executor(MakeContext(), user);
-    auto r = executor.Execute(stmt);
-    if (!r.ok()) {
-      undo_.RollbackAll();
-      clock_.Reset(clock_before);
-      return r.status();
-    }
-    undo_.Stop();
-    ++mutation_epoch_;
-    if (dur_) {
-      ps.user = user;
-      ps.sql = std::string(sql);
-      ps.clock_before = clock_before;
-      BDBMS_RETURN_IF_ERROR(LogCommitted(ps, 0));
-    }
-    return r;
-  }();
+  auto result = ExecuteAutocommit(stmt, sql, user);
   gate_.UnlockExclusive();
   return result;
 }
@@ -533,17 +495,13 @@ Result<QueryResult> Database::ExecuteInTxn(TxnState* t, const Statement& stmt,
         "transaction block");
   }
   if (!mutating) {
-    if (t->escalated) {
-      // The transaction owns the gate exclusively; legacy reads see its
-      // in-place writes directly.
-      Executor executor(MakeContext(), user);
+    auto read = [&] {
+      Executor executor(MakeContext(t->snapshot), user);
       return executor.Execute(stmt);
-    }
+    };
+    if (t->escalated) return read();  // the gate is held exclusively
     SharedGateLock g(&gate_);
-    ExecContext ctx = MakeContext();
-    ctx.snapshot = &t->snapshot;
-    Executor executor(std::move(ctx), user);
-    return executor.Execute(stmt);
+    return read();
   }
   if (!t->escalated) {
     {
@@ -552,7 +510,7 @@ Result<QueryResult> Database::ExecuteInTxn(TxnState* t, const Statement& stmt,
         return ExecuteTxnDml(t, stmt, sql, user);
       }
     }
-    // The statement needs the exclusive path: escalate. The shared hold
+    // The statement needs the exclusive gate: escalate. The shared hold
     // above is released first — waiting for exclusive while holding
     // shared would deadlock on ourselves.
     Status escalated = LockExclusiveNoTxns(t);
@@ -562,23 +520,24 @@ Result<QueryResult> Database::ExecuteInTxn(TxnState* t, const Statement& stmt,
       return escalated;
     }
     t->escalated = true;
-    {
-      std::lock_guard<std::mutex> w(writer_mu_);
-      t->clock_at_escalation = clock_.Peek();
-      // Only this transaction is alive, and from here on it reads the
-      // newest state (its snapshot is abandoned); every retained version
-      // is garbage. Its own uncommitted versions survive — their events
-      // carry a txn id, not a CSN, so the vacuum keeps them.
-      VacuumAllLocked(UINT64_MAX);
-    }
+    std::lock_guard<std::mutex> w(writer_mu_);
+    t->clock_at_escalation = clock_.Peek();
+    // No other transaction is open and none can commit while this one
+    // holds the gate, so its snapshot moves up to the newest commit: from
+    // here on it reads the newest committed state plus its own writes, and
+    // first-updater-wins measures against that state.
+    std::lock_guard<std::mutex> lock(txn_mu_);
+    t->snapshot.csn = last_completed_csn_.load(std::memory_order_acquire);
+    t->writer.snapshot_csn = t->snapshot.csn;
   }
-  return ExecuteTxnExclusive(t, stmt, sql, user);
+  return ExecuteTxnDml(t, stmt, sql, user);
 }
 
 Result<QueryResult> Database::ExecuteTxnDml(TxnState* t, const Statement& stmt,
                                             std::string_view sql,
                                             const std::string& user) {
-  // Caller holds the shared gate.
+  // Caller holds the gate: shared, or exclusive once the transaction
+  // escalated.
   std::lock_guard<std::mutex> w(writer_mu_);
   if (dur_ && !dur_->wal) {
     return Status::FailedPrecondition(
@@ -590,9 +549,7 @@ Result<QueryResult> Database::ExecuteTxnDml(TxnState* t, const Statement& stmt,
   BindUndo(t->undo.get());
   const UndoLog::Mark mark = t->undo->MarkPoint();
   mvcc_state_.writer = &t->writer;
-  ExecContext ctx = MakeContext();
-  ctx.snapshot = &t->snapshot;
-  Executor executor(std::move(ctx), user);
+  Executor executor(MakeContext(t->snapshot), user);
   auto result = executor.Execute(stmt);
   mvcc_state_.writer = nullptr;
   if (!result.ok()) {
@@ -617,44 +574,7 @@ Result<QueryResult> Database::ExecuteTxnDml(TxnState* t, const Statement& stmt,
     ps.user = user;
     ps.sql = std::string(sql);
     ps.clock_before = clock_before;
-    ps.versioned = 1;
     ps.snapshot = t->snapshot.csn;
-    t->pending.push_back(std::move(ps));
-  }
-  return result;
-}
-
-Result<QueryResult> Database::ExecuteTxnExclusive(TxnState* t,
-                                                  const Statement& stmt,
-                                                  std::string_view sql,
-                                                  const std::string& user) {
-  // The transaction holds the gate exclusively; writer_mu_ still guards
-  // the durable counters against durability_stats() observers.
-  std::lock_guard<std::mutex> w(writer_mu_);
-  if (dur_ && !dur_->wal) {
-    return Status::FailedPrecondition(
-        "durable store is unusable after a write failure; reopen");
-  }
-  const uint64_t clock_before = clock_.Peek();
-  PendingStatement ps;
-  if (dur_) CaptureBases(&ps);
-  BindUndo(t->undo.get());
-  const UndoLog::Mark mark = t->undo->MarkPoint();
-  Executor executor(MakeContext(), user);
-  auto result = executor.Execute(stmt);
-  if (!result.ok()) {
-    t->undo->RollbackTo(mark);
-    clock_.Reset(clock_before);
-    BindUndo(&undo_);
-    return result.status();
-  }
-  BindUndo(&undo_);
-  ++mutation_epoch_;
-  ++t->own_mutations;
-  if (dur_) {
-    ps.user = user;
-    ps.sql = std::string(sql);
-    ps.clock_before = clock_before;
     t->pending.push_back(std::move(ps));
   }
   return result;
@@ -779,11 +699,8 @@ void Database::ApplyReplayBases(const WalRecord& rec) {
 uint64_t Database::ComputeOldestCsnLocked() const {
   uint64_t oldest = UINT64_MAX;
   for (const auto& [tok, t] : txns_) {
-    // Doomed transactions rolled back already; escalated ones read the
-    // newest state directly. Neither needs its snapshot any more.
-    if (!t->doomed && !t->escalated) {
-      oldest = std::min(oldest, t->snapshot.csn);
-    }
+    // A doomed transaction rolled back already and needs no snapshot.
+    if (!t->doomed) oldest = std::min(oldest, t->snapshot.csn);
   }
   if (!read_snapshots_.empty()) {
     oldest = std::min(oldest, *read_snapshots_.begin());
@@ -845,7 +762,6 @@ Status Database::LogCommitted(const PendingStatement& ps, uint64_t csn) {
   rec.clock = ps.clock_before;
   rec.user = ps.user;
   rec.sql = ps.sql;
-  rec.versioned = ps.versioned;
   rec.snapshot = ps.snapshot;
   rec.csn = csn;
   rec.row_bases = ps.row_bases;
@@ -904,24 +820,20 @@ Status Database::LogTxnCommitted(TxnState* t, uint64_t csn) {
   begin.clock = t->clock_at_begin;
   begin.kind = WalRecordKind::kTxnBegin;
   BDBMS_RETURN_IF_ERROR(append(std::move(begin)));
-  uint8_t any_versioned = 0;
   for (const PendingStatement& p : t->pending) {
     WalRecord rec;
     rec.clock = p.clock_before;
     rec.user = p.user;
     rec.sql = p.sql;
     rec.kind = WalRecordKind::kStatement;
-    rec.versioned = p.versioned;
     rec.snapshot = p.snapshot;
     rec.row_bases = p.row_bases;
     rec.ann_bases = p.ann_bases;
-    any_versioned |= p.versioned;
     BDBMS_RETURN_IF_ERROR(append(std::move(rec)));
   }
   WalRecord commit;
   commit.clock = clock_.Peek();
   commit.kind = WalRecordKind::kTxnCommit;
-  commit.versioned = any_versioned;
   commit.csn = csn;
   {
     // Commit-time id counters: replay applies these as a max-advance
@@ -1116,39 +1028,31 @@ Status Database::ReplayRecord(const WalRecord& rec, MvccWriter* group_writer) {
   // never shows).
   clock_.Reset(rec.clock);
   ApplyReplayBases(rec);
-  auto result = [&]() -> Result<QueryResult> {
-    if (rec.versioned) {
-      // Re-create the original execution mode: an MVCC writer plus the
-      // journaled snapshot, so visibility decisions replay bit for bit
-      // against the version stamps of earlier replayed commits.
-      MvccWriter local;
-      MvccWriter* writer = group_writer;
-      if (writer == nullptr) {
-        local.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-        local.snapshot_csn = rec.snapshot;
-        writer = &local;
-      }
-      MvccSnapshot snap{rec.snapshot, writer->txn_id};
-      mvcc_state_.writer = writer;
-      ExecContext ctx = MakeContext();
-      ctx.snapshot = &snap;
-      Executor executor(std::move(ctx), rec.user);
-      auto r = executor.Execute(*parsed);
-      mvcc_state_.writer = nullptr;
-      if (r.ok() && writer == &local) {
-        // Autocommit record: stamp with the journaled commit CSN now.
-        if (rec.csn != 0) {
-          StampWriteSet(local, rec.csn);
-          AdvanceCsn(rec.csn);
-        } else {
-          local.Clear();
-        }
-      }
-      return r;
+  // Re-create the original execution: an MVCC writer plus the journaled
+  // snapshot, so visibility decisions replay bit for bit against the
+  // version stamps of earlier replayed commits. A transaction's snapshot
+  // moves up when it escalates, so every member sets its own.
+  MvccWriter local;
+  MvccWriter* writer = group_writer;
+  if (writer == nullptr) {
+    local.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
+    writer = &local;
+  }
+  writer->snapshot_csn = rec.snapshot;
+  MvccSnapshot snap{rec.snapshot, writer->txn_id};
+  mvcc_state_.writer = writer;
+  Executor executor(MakeContext(snap), rec.user);
+  auto result = executor.Execute(*parsed);
+  mvcc_state_.writer = nullptr;
+  if (result.ok() && writer == &local) {
+    // Autocommit record: stamp with the journaled commit CSN now.
+    if (rec.csn != 0) {
+      StampWriteSet(local, rec.csn);
+      AdvanceCsn(rec.csn);
+    } else {
+      local.Clear();
     }
-    Executor executor(MakeContext(), rec.user);
-    return executor.Execute(*parsed);
-  }();
+  }
   if (!result.ok()) {
     return Status::Corruption(
         "WAL replay diverged at lsn " + std::to_string(rec.lsn) + " (" +
@@ -1266,35 +1170,24 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
         truncate_at = scan.record_offsets[i];
         break;
       }
-      // Versioned members share one writer (they were one transaction);
-      // the commit marker's journaled CSN stamps the whole write set.
+      // Members share one writer (they were one transaction); the commit
+      // marker's journaled CSN stamps the whole write set.
       MvccWriter group_writer;
-      bool have_writer = false;
+      group_writer.txn_id =
+          db->next_txn_id_.fetch_add(1, std::memory_order_relaxed);
       for (size_t k = i + 1; k < end; ++k) {
         const WalRecord& member = scan.records[k];
         if (member.lsn <= last_lsn) continue;
-        MvccWriter* w = nullptr;
-        if (member.versioned) {
-          if (!have_writer) {
-            group_writer.txn_id =
-                db->next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-            group_writer.snapshot_csn = member.snapshot;
-            have_writer = true;
-          }
-          w = &group_writer;
-        }
-        BDBMS_RETURN_IF_ERROR(db->ReplayRecord(member, w));
+        BDBMS_RETURN_IF_ERROR(db->ReplayRecord(member, &group_writer));
         ++replayed;
       }
       const WalRecord& commit = scan.records[end];
       if (commit.lsn > last_lsn) {
-        if (have_writer) {
-          if (commit.csn != 0) {
-            db->StampWriteSet(group_writer, commit.csn);
-            db->AdvanceCsn(commit.csn);
-          } else {
-            group_writer.Clear();
-          }
+        if (commit.csn != 0) {
+          db->StampWriteSet(group_writer, commit.csn);
+          db->AdvanceCsn(commit.csn);
+        } else {
+          group_writer.Clear();
         }
         db->ApplyReplayBases(commit);
       }

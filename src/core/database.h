@@ -120,13 +120,14 @@ struct DurabilityStats {
 //    afterwards).
 //  - Statements that drive cross-cutting machinery (DDL, dependency
 //    propagation into other tables, approvals, grants, ANALYZE, ...)
-//    escalate to the exclusive side of the gate, drain concurrent
-//    transactions, and run the PR-6 serial path unchanged.
+//    escalate to the exclusive side of the gate and drain concurrent
+//    transactions. They write rows through the same versioned path;
+//    only the gate they hold differs.
 //
-// Commit order is journaled: versioned WAL records carry their snapshot
-// and commit CSNs, so recovery replays the exact visibility decisions of
-// the original run. Superseded versions are garbage-collected as soon as
-// no live snapshot can need them.
+// Commit order is journaled: WAL records carry their snapshot and commit
+// CSNs, so recovery replays the exact visibility decisions of the
+// original run. Superseded versions are garbage-collected as soon as no
+// live snapshot can need them.
 //
 // The programmatic manager accessors below bypass the gate and remain
 // single-threaded, like the CIDR'07 prototype.
@@ -191,8 +192,10 @@ class Database {
   bool is_durable() const { return dur_ != nullptr; }
   DurabilityStats durability_stats() const;
 
-  // Retained superseded row versions across all tables — the metric the
-  // GC tests watch ("vacuum must not resurrect or leak versions").
+  // Live rows plus retained superseded row versions across all tables
+  // (the sum of Table::version_count) — the metric the GC tests watch
+  // ("vacuum must not resurrect or leak versions"): with nothing
+  // retained it equals the live row count.
   uint64_t version_count() const;
 
   // --- programmatic access to the managers (examples, tests, benches) ----
@@ -228,7 +231,6 @@ class Database {
     std::string user;
     std::string sql;
     uint64_t clock_before = 0;
-    uint8_t versioned = 0;
     uint64_t snapshot = 0;
     std::vector<std::pair<std::string, uint64_t>> row_bases;
     std::vector<std::pair<std::string, uint64_t>> ann_bases;
@@ -237,7 +239,7 @@ class Database {
   // State of one open transaction. Lives in txns_ keyed by session token.
   struct TxnState {
     uint64_t txn_id = 0;
-    MvccSnapshot snapshot;  // captured at BEGIN
+    MvccSnapshot snapshot;  // captured at BEGIN, moved up on escalation
     MvccWriter writer;      // versioned write set, stamped at COMMIT
     std::unique_ptr<UndoLog> undo;
     std::vector<PendingStatement> pending;
@@ -249,13 +251,16 @@ class Database {
     bool doomed = false;          // serialization failure; rolled back
   };
 
-  // How a mutating autocommit/in-transaction statement executes.
+  // Which gate a mutating autocommit/in-transaction statement holds; both
+  // classes run versioned.
   enum class StmtClass {
-    kConcurrentDml,  // versioned, under the shared gate
-    kExclusive,      // legacy serial path, drains transactions
+    kConcurrentDml,  // shared gate
+    kExclusive,      // exclusive gate, drains transactions
   };
 
-  ExecContext MakeContext();
+  // Wires the managers and storage hooks; every scan resolves visibility
+  // against `snap`, which must outlive the context.
+  ExecContext MakeContext(const MvccSnapshot& snap);
 
   // Classification of a mutating statement; called under the shared gate
   // (rule/approval changes are exclusive, so the answer is stable for
@@ -273,21 +278,25 @@ class Database {
 
   Result<QueryResult> ExecuteRead(const Statement& stmt,
                                   const std::string& user);
-  Result<QueryResult> ExecuteConcurrent(const Statement& stmt,
+  // An autocommit mutating statement as its own versioned transaction;
+  // the caller holds the gate, shared or exclusive.
+  Result<QueryResult> ExecuteAutocommit(const Statement& stmt,
                                         std::string_view sql,
                                         const std::string& user);
+  // ExecuteAutocommit under the exclusive gate, after open transactions
+  // drain.
   Result<QueryResult> ExecuteExclusive(const Statement& stmt,
                                        std::string_view sql,
                                        const std::string& user);
   Result<QueryResult> ExecuteInTxn(TxnState* t, const Statement& stmt,
                                    std::string_view sql,
                                    const std::string& user, bool mutating);
+  // One mutating statement of an open transaction, versioned under its
+  // writer and snapshot; the caller holds the gate (exclusively once the
+  // transaction escalated).
   Result<QueryResult> ExecuteTxnDml(TxnState* t, const Statement& stmt,
                                     std::string_view sql,
                                     const std::string& user);
-  Result<QueryResult> ExecuteTxnExclusive(TxnState* t, const Statement& stmt,
-                                          std::string_view sql,
-                                          const std::string& user);
 
   // Rolls the transaction back in place after a serialization failure
   // and marks it doomed (only ROLLBACK / COMMIT-as-rollback is accepted
@@ -296,8 +305,9 @@ class Database {
   void DoomLocked(TxnState* t);
 
   // Acquires the exclusive side of the gate and waits until no
-  // transaction other than `self` is open (legacy execution and full
-  // vacuum are only sound with no foreign snapshot alive). For an
+  // transaction other than `self` is open (statements that drive
+  // cross-cutting machinery change non-row state no snapshot isolates,
+  // and checkpoints must see committed state only). For an
   // escalating transaction (`self` non-null) fails with a
   // serialization-failure status instead of deadlocking when another
   // transaction is already draining.
@@ -353,9 +363,8 @@ class Database {
   void TearDownWal();
 
   // Re-executes one WAL record with its recorded user, clock value, id
-  // bases and (for versioned records) snapshot. `group_writer` is the
-  // shared write set of the enclosing transaction frame, null for
-  // autocommit records.
+  // bases and snapshot. `group_writer` is the shared write set of the
+  // enclosing transaction frame, null for autocommit records.
   Status ReplayRecord(const WalRecord& rec, MvccWriter* group_writer);
 
   // Advances the CSN counters past a journaled commit CSN (replay).
@@ -427,12 +436,12 @@ class Database {
   UndoLog undo_;
 
   // Ambient MVCC context shared with every storage object. A writer is
-  // installed exactly while a versioned mutating statement executes
-  // (under writer_mu_).
+  // installed exactly while a mutating statement executes (under
+  // writer_mu_).
   MvccState mvcc_state_;
 
   // The engine gate: shared for reads and concurrent DML, exclusive for
-  // legacy statements / escalated transactions / checkpoints. Not
+  // cross-cutting statements / escalated transactions / checkpoints. Not
   // thread-affine (an escalated transaction may release from a different
   // pool thread than it acquired on).
   EngineGate gate_;

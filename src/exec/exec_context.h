@@ -48,9 +48,9 @@ struct ExecContext {
   // protection; mutation paths that live in the executor itself (the
   // deletion log) record their compensations here.
   UndoLog* undo = nullptr;
-  // Non-null while the statement runs under snapshot isolation: every
-  // scan operator resolves row/annotation visibility against it instead
-  // of reading the newest state. Null = legacy exclusive execution.
+  // The statement's snapshot, never null: every scan operator resolves
+  // row/annotation visibility against it. A mutating statement's snapshot
+  // also carries its transaction id, so it sees its own writes.
   const MvccSnapshot* snapshot = nullptr;
 };
 

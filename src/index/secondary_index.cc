@@ -90,7 +90,10 @@ Result<std::vector<RowId>> SecondaryIndex::Find(
         rows.push_back(row);
         return true;
       }));
+  // Retained row versions own index entries of their own, so one RowId can
+  // sit under several keys, or twice under one key; callers get each once.
   std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   return rows;
 }
 
@@ -117,6 +120,7 @@ Result<std::vector<RowId>> SecondaryIndex::FindRange(
           return true;
         }));
     std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     return rows;
   }
   IndexProbe p;

@@ -75,7 +75,8 @@ class SecondaryIndex {
   Status Remove(const Row& row, RowId row_id);
 
   // --- probes (planner/IndexScan/IndexOnlyScan) ---------------------------
-  // RowIds matching `probe`, ascending.
+  // RowIds matching `probe`, ascending, each once (retained row versions
+  // keep entries of their own until vacuum).
   Result<std::vector<RowId>> Find(const IndexProbe& probe) const;
 
   // Visits (encoded composite key, RowId) entries matching `probe` in key

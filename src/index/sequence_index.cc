@@ -52,7 +52,10 @@ Result<std::vector<RowId>> SequenceIndex::Collect(
         rows.push_back(row);
         return true;
       }));
+  // Retained row versions own trie entries of their own, so one RowId can
+  // sit under several keys, or twice under one key; callers get each once.
   std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   return rows;
 }
 
@@ -92,8 +95,12 @@ class NearestWalker {
     std::string key;
   };
 
+  // A (RowId, key) entry `keep` rejected: its key is not the cell the
+  // snapshot sees. Other entries of the same row may still be live.
+  using Entry = std::pair<RowId, std::string>;
+
   NearestWalker(const std::string& target, size_t k,
-                const std::set<RowId>& skip)
+                const std::set<Entry>& skip)
       : target_(target), k_(k), skip_(skip) {}
 
   WState Root() const {
@@ -133,9 +140,12 @@ class NearestWalker {
     if (results_.size() >= k_ && dist > results_.back().distance) {
       return false;
     }
-    if (skip_.count(payload) != 0) return true;  // known-stale entry
-    results_.push_back(
-        {payload, static_cast<int>(dist), state.prefix + suffix});
+    std::string key = state.prefix + suffix;
+    if (skip_.count({payload, key}) != 0) return true;  // known-stale entry
+    // A row's further entries (retained versions) arrive no closer than
+    // its first; one row takes one of the k slots.
+    if (!emitted_.insert(payload).second) return true;
+    results_.push_back({payload, static_cast<int>(dist), std::move(key)});
     return true;
   }
 
@@ -157,7 +167,8 @@ class NearestWalker {
 
   const std::string& target_;
   size_t k_;
-  const std::set<RowId>& skip_;
+  const std::set<Entry>& skip_;
+  std::set<RowId> emitted_;
   std::vector<Candidate> results_;
 };
 
@@ -255,8 +266,8 @@ Result<std::vector<SequenceIndex::Neighbor>> SequenceIndex::FindNearest(
   // order, so candidates are gathered under the lock and vetted after it
   // is released; stale entries are blacklisted and the traversal restarts
   // without them, so they never occupy one of the k slots. Each restart
-  // blacklists at least one more row, so the loop terminates.
-  std::set<RowId> stale;
+  // blacklists at least one more entry, so the loop terminates.
+  std::set<NearestWalker::Entry> stale;
   for (;;) {
     std::vector<NearestWalker::Candidate> candidates;
     {
@@ -272,7 +283,7 @@ Result<std::vector<SequenceIndex::Neighbor>> SequenceIndex::FindNearest(
       if (keep(c.row, c.key)) {
         out.push_back({c.row, c.distance});
       } else {
-        stale.insert(c.row);
+        stale.emplace(c.row, c.key);
       }
     }
     if (stale.size() != known_stale) continue;
@@ -294,6 +305,7 @@ Result<std::vector<RowId>> SequenceIndex::FindAlign(
   BDBMS_RETURN_IF_ERROR(trie_->SearchGuided(walker));
   std::vector<RowId> rows = walker.Take();
   std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   return rows;
 }
 

@@ -50,6 +50,9 @@ class SequenceIndex {
   Status Remove(const Value& cell, RowId row_id);
 
   // --- probes (planner/SpgistScan) ----------------------------------------
+  // Every probe returns each RowId once, even where retained row versions
+  // keep extra entries for it until vacuum.
+  //
   // RowIds whose cell starts with `prefix`, ascending.
   Result<std::vector<RowId>> FindPrefix(const std::string& prefix) const;
   // RowIds whose cell equals `text` exactly, ascending.
@@ -69,10 +72,12 @@ class SequenceIndex {
   // Levenshtein lower bounds (spgscan.c-style ordered scan). `keep` vets
   // each candidate — MVCC visibility plus a stored-cell equality check —
   // before it counts toward k, so stale index entries cannot underfill
-  // the result. All ties at the k-th distance are returned; the caller's
+  // the result; a row with several entries (retained versions) takes one
+  // slot. All ties at the k-th distance are returned; the caller's
   // LIMIT makes the final cut. `keep` is always invoked with the index
   // mutex released (it takes the table lock, and DML locks table before
-  // index); a rejection blacklists the entry and reruns the traversal.
+  // index); a rejection blacklists that (row, key) entry and reruns the
+  // traversal.
   Result<std::vector<Neighbor>> FindNearest(
       const std::string& target, size_t k,
       const std::function<bool(RowId, const std::string& cell)>& keep) const;

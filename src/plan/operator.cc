@@ -124,21 +124,12 @@ Result<bool> ScanNodeBase::Next(PlanTuple* out) {
       table_->PrefetchRows(candidates_, pos_);
     }
     RowId row_id = candidates_[pos_++];
-    Row row;
-    if (snap != nullptr) {
-      // Snapshot mode: visibility resolution replaces the liveness check,
-      // and index candidates can be stale — the subclass re-verifies its
-      // probe against the version the snapshot actually sees.
-      BDBMS_ASSIGN_OR_RETURN(std::optional<Row> visible,
-                             table_->GetVisible(row_id, *snap));
-      if (!visible.has_value()) continue;
-      if (!RecheckVisible(*visible)) continue;
-      row = std::move(*visible);
-    } else {
-      if (!table_->Exists(row_id)) continue;  // stale candidate
-      BDBMS_ASSIGN_OR_RETURN(row, table_->Get(row_id));
-    }
-    out->values = std::move(row);
+    // Index candidates can be stale: the subclass re-verifies its probe
+    // against the version the snapshot actually sees.
+    BDBMS_ASSIGN_OR_RETURN(std::optional<Row> visible,
+                           table_->GetVisible(row_id, *snap));
+    if (!visible.has_value() || !RecheckVisible(*visible)) continue;
+    out->values = std::move(*visible);
     out->anns.assign(ncols, {});
     out->source_row = row_id;
     out->has_source = true;
@@ -181,10 +172,7 @@ std::string ScanNodeBase::DescribeSuffix() const {
 }
 
 Result<std::vector<RowId>> SeqScanNode::CollectCandidates() {
-  if (ctx_->snapshot != nullptr) {
-    return table_->VisibleRowIds(*ctx_->snapshot);
-  }
-  return table_->SnapshotRowIds();
+  return table_->VisibleRowIds(*ctx_->snapshot);
 }
 
 std::string SeqScanNode::Describe() const {
@@ -204,8 +192,8 @@ std::string SeqScanNode::Describe() const {
 namespace {
 
 // Re-evaluates an index probe against the indexed cells of a row — used by
-// snapshot-mode index scans to reject candidates reached through a dead
-// index entry whose key differs from the version the snapshot sees.
+// index scans to reject candidates reached through a dead index entry
+// whose key differs from the version the snapshot sees.
 bool ProbeMatchesRow(const IndexProbe& probe, const std::vector<size_t>& cols,
                      const Row& row) {
   for (size_t i = 0; i < probe.eq.size(); ++i) {
@@ -303,30 +291,25 @@ Status IndexOnlyScanNode::Open() {
 
 Result<bool> IndexOnlyScanNode::Next(PlanTuple* out) {
   size_t ncols = table_->schema().num_columns();
-  const MvccSnapshot* snap = ctx_->snapshot;
   while (pos_ < rows_.size()) {
     auto& [row_id, row] = rows_[pos_++];
-    if (snap != nullptr) {
-      // Version chains keep dead keys indexed until vacuum: only entries
-      // whose decoded key cells match the version the snapshot sees are
-      // real, and each surviving RowId is emitted once.
-      if (have_emitted_ && row_id == last_emitted_) continue;
-      BDBMS_ASSIGN_OR_RETURN(std::optional<Row> visible,
-                             table_->GetVisible(row_id, *snap));
-      if (!visible.has_value()) continue;
-      bool matches = true;
-      for (size_t c : index_->columns()) {
-        if ((*visible)[c].Compare(row[c]) != 0) {
-          matches = false;
-          break;
-        }
+    // Version chains keep dead keys indexed until vacuum: only entries
+    // whose decoded key cells match the version the snapshot sees are
+    // real, and each surviving RowId is emitted once.
+    if (have_emitted_ && row_id == last_emitted_) continue;
+    BDBMS_ASSIGN_OR_RETURN(std::optional<Row> visible,
+                           table_->GetVisible(row_id, *ctx_->snapshot));
+    if (!visible.has_value()) continue;
+    bool matches = true;
+    for (size_t c : index_->columns()) {
+      if ((*visible)[c].Compare(row[c]) != 0) {
+        matches = false;
+        break;
       }
-      if (!matches) continue;
-      have_emitted_ = true;
-      last_emitted_ = row_id;
-    } else if (!table_->Exists(row_id)) {
-      continue;  // stale candidate
     }
+    if (!matches) continue;
+    have_emitted_ = true;
+    last_emitted_ = row_id;
     out->values = std::move(row);
     out->anns.assign(ncols, {});
     out->source_row = row_id;
@@ -384,18 +367,10 @@ Result<std::vector<RowId>> SpgistTopKScanNode::CollectCandidates() {
   // Visibility is resolved inside the traversal: a stale index entry whose
   // key no longer matches the visible row must not occupy one of the k
   // slots, or a genuinely close row would be cut off.
-  const MvccSnapshot* snap = ctx_->snapshot;
   auto keep = [&](RowId row_id, const std::string& key) -> bool {
-    if (snap != nullptr) {
-      auto visible = table_->GetVisible(row_id, *snap);
-      if (!visible.ok() || !visible->has_value()) return false;
-      const Value& cell = (**visible)[index_->column()];
-      return cell.is_string() && cell.as_string() == key;
-    }
-    if (!table_->Exists(row_id)) return false;
-    auto row = table_->Get(row_id);
-    if (!row.ok()) return false;
-    const Value& cell = (*row)[index_->column()];
+    auto visible = table_->GetVisible(row_id, *ctx_->snapshot);
+    if (!visible.ok() || !visible->has_value()) return false;
+    const Value& cell = (**visible)[index_->column()];
     return cell.is_string() && cell.as_string() == key;
   };
   BDBMS_ASSIGN_OR_RETURN(std::vector<SequenceIndex::Neighbor> nearest,
@@ -436,12 +411,8 @@ Result<std::vector<RowId>> AnnIntervalScanNode::CollectCandidates() {
                            ctx_->annotations->Get(table_name_, ann_name));
     for (const auto& [begin, end] : at->LiveRowIntervals(snap)) {
       RowId capped = std::min(end, extent == 0 ? end : extent - 1);
-      if (snap != nullptr) {
-        for (RowId r : table_->VisibleRowIdsInRange(begin, capped, *snap)) {
-          rows.insert(r);
-        }
-      } else {
-        for (RowId r : table_->RowIdsInRange(begin, capped)) rows.insert(r);
+      for (RowId r : table_->VisibleRowIdsInRange(begin, capped, *snap)) {
+        rows.insert(r);
       }
     }
   }
@@ -451,13 +422,9 @@ Result<std::vector<RowId>> AnnIntervalScanNode::CollectCandidates() {
   if (bitmap != nullptr) {
     for (const auto& [row, mask] : bitmap->entries()) {
       if (mask == 0) continue;
-      if (snap != nullptr) {
-        BDBMS_ASSIGN_OR_RETURN(std::optional<Row> visible,
-                               table_->GetVisible(row, *snap));
-        if (visible.has_value()) rows.insert(row);
-      } else if (table_->Exists(row)) {
-        rows.insert(row);
-      }
+      BDBMS_ASSIGN_OR_RETURN(std::optional<Row> visible,
+                             table_->GetVisible(row, *snap));
+      if (visible.has_value()) rows.insert(row);
     }
   }
   return std::vector<RowId>(rows.begin(), rows.end());

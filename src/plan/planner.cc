@@ -1081,8 +1081,13 @@ Result<PlanNodePtr> Planner::TryPlanTopKScan(const SelectStmt& stmt) {
   double table_rows = stats != nullptr
                           ? static_cast<double>(stats->row_count)
                           : static_cast<double>(table->row_count());
-  std::string predicate_text =
-      "(" + ExprToString(*key.expr) + " k=" + std::to_string(k) + ")";
+  // Appended piecewise: GCC 12 at -O3 reports a false -Wrestrict overlap
+  // on the inlined memcpy of a `"(" + std::string&& + ...` chain.
+  std::string predicate_text = "(";
+  predicate_text += ExprToString(*key.expr);
+  predicate_text += " k=";
+  predicate_text += std::to_string(k);
+  predicate_text += ')';
   PlanNodePtr scan = std::make_unique<SpgistTopKScanNode>(
       ctx_, table, ref.table, qualifier, std::move(ann_names),
       /*attach_metadata=*/true, index, target->literal.as_string(), k,

@@ -150,21 +150,13 @@ Result<RowId> Table::Insert(Row row) {
 Result<RowId> Table::InsertLocked(Row row) {
   BDBMS_ASSIGN_OR_RETURN(Row validated, schema_.ValidateRow(std::move(row)));
   BDBMS_RETURN_IF_ERROR(CheckIndexable(validated));
-  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
   RowId row_id = next_row_id_++;
   BDBMS_ASSIGN_OR_RETURN(RecordId rid,
                          heap_->Insert(EncodeRecord(row_id, validated)));
   rows_[row_id] = rid;
   BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
-  if (w == nullptr) {
-    if (undo_ && undo_->recording()) {
-      undo_->Record("insert " + schema_.name(), [this, row_id] {
-        (void)Delete(row_id);
-        next_row_id_ = row_id;  // replay must hand out the same id again
-      });
-    }
-    return row_id;
-  }
+  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
+  if (w == nullptr) return row_id;  // no ambient writer: a plain ancient row
   // Versioned insert: tag the new row with the owning transaction so it
   // stays invisible to other snapshots until commit stamps it.
   RowMvcc& mv = mvcc_rows_[row_id];
@@ -203,23 +195,14 @@ Status Table::InsertWithRowIdLocked(RowId row_id, Row row) {
   }
   BDBMS_ASSIGN_OR_RETURN(Row validated, schema_.ValidateRow(std::move(row)));
   BDBMS_RETURN_IF_ERROR(CheckIndexable(validated));
-  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
   RowId next_before = next_row_id_;
   BDBMS_ASSIGN_OR_RETURN(RecordId rid,
                          heap_->Insert(EncodeRecord(row_id, validated)));
   rows_[row_id] = rid;
   if (row_id >= next_row_id_) next_row_id_ = row_id + 1;
   BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
-  if (w == nullptr) {
-    if (undo_ && undo_->recording()) {
-      undo_->Record("reinsert " + schema_.name(),
-                    [this, row_id, next_before] {
-                      (void)Delete(row_id);
-                      next_row_id_ = next_before;
-                    });
-    }
-    return Status::Ok();
-  }
+  MvccWriter* w = mvcc_ ? mvcc_->writer : nullptr;
+  if (w == nullptr) return Status::Ok();
   RowMvcc& mv = mvcc_rows_[row_id];  // may keep an older chain
   mv.begin_csn = 0;
   mv.begin_txn = w->txn_id;
@@ -346,44 +329,19 @@ Status Table::UpdateLocked(RowId row_id, Row row) {
   }
   BDBMS_ASSIGN_OR_RETURN(Row validated, schema_.ValidateRow(std::move(row)));
   BDBMS_RETURN_IF_ERROR(CheckIndexable(validated));
-  bool capture = undo_ && undo_->recording();
-  if (w == nullptr) {
-    bool has_indexes = !indexes_.empty() || !seq_indexes_.empty();
-    Row old_row;
-    if (capture || has_indexes) {
-      BDBMS_ASSIGN_OR_RETURN(old_row, GetLocked(row_id));
-    }
-    if (has_indexes) {
-      BDBMS_RETURN_IF_ERROR(IndexRemove(row_id, old_row));
-    }
-    BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
-    BDBMS_ASSIGN_OR_RETURN(RecordId rid,
-                           heap_->Insert(EncodeRecord(row_id, validated)));
-    it->second = rid;
-    BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
-    if (capture) {
-      undo_->Record("update " + schema_.name(),
-                    [this, row_id, old = std::move(old_row)] {
-                      (void)Update(row_id, old);
-                    });
-    }
-    return Status::Ok();
-  }
-  BDBMS_RETURN_IF_ERROR(CheckWriteConflictLocked(row_id, *w));
+  if (w) BDBMS_RETURN_IF_ERROR(CheckWriteConflictLocked(row_id, *w));
   BDBMS_ASSIGN_OR_RETURN(Row old_row, GetLocked(row_id));
   auto mit = mvcc_rows_.find(row_id);
-  bool own = mit != mvcc_rows_.end() && mit->second.begin_csn == 0 &&
+  bool own = w && mit != mvcc_rows_.end() && mit->second.begin_csn == 0 &&
              mit->second.begin_txn == w->txn_id;
-  if (own) {
-    // Re-update of a version this transaction already created: replace it
-    // in place; no new chain node, no new write-set entry.
+  if (w == nullptr || own) {
+    // Rewrite in place: with no ambient writer the row stays a plain
+    // ancient row; a re-update of a version this transaction already
+    // created replaces it (no new chain node, no new write-set entry).
     BDBMS_RETURN_IF_ERROR(IndexRemove(row_id, old_row));
-    BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
-    BDBMS_ASSIGN_OR_RETURN(RecordId rid,
-                           heap_->Insert(EncodeRecord(row_id, validated)));
-    it->second = rid;
+    BDBMS_RETURN_IF_ERROR(RewriteLocked(it, validated));
     BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
-    if (capture) {
+    if (own && undo_ && undo_->recording()) {
       undo_->Record("update " + schema_.name(),
                     [this, row_id, old = std::move(old_row)] {
                       std::unique_lock<std::shared_mutex> relock(latch_);
@@ -391,9 +349,7 @@ Status Table::UpdateLocked(RowId row_id, Row row) {
                       if (rit == rows_.end()) return;
                       auto cur = GetLocked(row_id);
                       if (cur.ok()) (void)IndexRemove(row_id, *cur);
-                      (void)heap_->Delete(rit->second);
-                      auto rid2 = heap_->Insert(EncodeRecord(row_id, old));
-                      if (rid2.ok()) rit->second = *rid2;
+                      (void)RewriteLocked(rit, old);
                       (void)IndexInsert(row_id, old);
                     });
     }
@@ -405,16 +361,13 @@ Status Table::UpdateLocked(RowId row_id, Row row) {
   // version becomes current, tagged uncommitted.
   RowMvcc& mv = mvcc_rows_[row_id];
   mv.old.push_back(
-      RowVersion{old_row, mv.begin_csn, mv.begin_txn, 0, w->txn_id});
-  BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
-  BDBMS_ASSIGN_OR_RETURN(RecordId rid,
-                         heap_->Insert(EncodeRecord(row_id, validated)));
-  it->second = rid;
+      RowVersion{std::move(old_row), mv.begin_csn, mv.begin_txn, 0, w->txn_id});
+  BDBMS_RETURN_IF_ERROR(RewriteLocked(it, validated));
   BDBMS_RETURN_IF_ERROR(IndexInsert(row_id, validated));
   mv.begin_csn = 0;
   mv.begin_txn = w->txn_id;
   w->rows.emplace_back(this, row_id);
-  if (capture) {
+  if (undo_ && undo_->recording()) {
     undo_->Record("update " + schema_.name(), [this, row_id] {
       std::unique_lock<std::shared_mutex> relock(latch_);
       auto mit2 = mvcc_rows_.find(row_id);
@@ -425,9 +378,7 @@ Status Table::UpdateLocked(RowId row_id, Row row) {
       if (rit != rows_.end()) {
         auto cur = GetLocked(row_id);
         if (cur.ok()) (void)IndexRemove(row_id, *cur);
-        (void)heap_->Delete(rit->second);
-        auto rid2 = heap_->Insert(EncodeRecord(row_id, node.row));
-        if (rid2.ok()) rit->second = *rid2;
+        (void)RewriteLocked(rit, node.row);
       }
       // node.row's index entries were never removed on update; they
       // simply revert to being owned by the current version again.
@@ -439,6 +390,14 @@ Status Table::UpdateLocked(RowId row_id, Row row) {
       }
     });
   }
+  return Status::Ok();
+}
+
+Status Table::RewriteLocked(std::map<RowId, RecordId>::iterator it,
+                            const Row& row) {
+  BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
+  BDBMS_ASSIGN_OR_RETURN(it->second,
+                         heap_->Insert(EncodeRecord(it->first, row)));
   return Status::Ok();
 }
 
@@ -466,38 +425,25 @@ Status Table::DeleteLocked(RowId row_id) {
     return Status::NotFound("table " + schema_.name() + ": no row " +
                             std::to_string(row_id));
   }
-  bool capture = undo_ && undo_->recording();
+  if (w) BDBMS_RETURN_IF_ERROR(CheckWriteConflictLocked(row_id, *w));
+  BDBMS_ASSIGN_OR_RETURN(Row old_row, GetLocked(row_id));
   if (w == nullptr) {
-    bool has_indexes = !indexes_.empty() || !seq_indexes_.empty();
-    Row old_row;
-    if (capture || has_indexes) {
-      BDBMS_ASSIGN_OR_RETURN(old_row, GetLocked(row_id));
-    }
-    if (has_indexes) {
-      BDBMS_RETURN_IF_ERROR(IndexRemove(row_id, old_row));
-    }
+    // No ambient writer: the row and its index entries simply go.
+    BDBMS_RETURN_IF_ERROR(IndexRemove(row_id, old_row));
     BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
     rows_.erase(it);
-    if (capture) {
-      undo_->Record("delete " + schema_.name(),
-                    [this, row_id, old = std::move(old_row)] {
-                      (void)InsertWithRowId(row_id, old);
-                    });
-    }
     return Status::Ok();
   }
-  BDBMS_RETURN_IF_ERROR(CheckWriteConflictLocked(row_id, *w));
-  BDBMS_ASSIGN_OR_RETURN(Row old_row, GetLocked(row_id));
   // The deleted version moves onto the chain with an uncommitted end
   // event; its index entries stay (owned by the chain node) so snapshot
   // index scans still find the row until GC retires it.
   RowMvcc& mv = mvcc_rows_[row_id];
   mv.old.push_back(
-      RowVersion{old_row, mv.begin_csn, mv.begin_txn, 0, w->txn_id});
+      RowVersion{std::move(old_row), mv.begin_csn, mv.begin_txn, 0, w->txn_id});
   BDBMS_RETURN_IF_ERROR(heap_->Delete(it->second));
   rows_.erase(it);
   w->rows.emplace_back(this, row_id);
-  if (capture) {
+  if (undo_ && undo_->recording()) {
     undo_->Record("delete " + schema_.name(), [this, row_id] {
       std::unique_lock<std::shared_mutex> relock(latch_);
       auto mit = mvcc_rows_.find(row_id);
@@ -595,37 +541,6 @@ Status Table::ScanLocked(
   return Status::Ok();
 }
 
-Status Table::ScanRange(
-    RowId begin, RowId end,
-    const std::function<Status(RowId, const Row&)>& fn) const {
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  for (auto it = rows_.lower_bound(begin);
-       it != rows_.end() && it->first <= end; ++it) {
-    BDBMS_ASSIGN_OR_RETURN(std::string payload, heap_->Read(it->second));
-    BDBMS_ASSIGN_OR_RETURN(auto decoded, DecodeRecord(payload));
-    BDBMS_RETURN_IF_ERROR(fn(it->first, decoded.second));
-  }
-  return Status::Ok();
-}
-
-std::vector<RowId> Table::SnapshotRowIds() const {
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  std::vector<RowId> ids;
-  ids.reserve(rows_.size());
-  for (const auto& [row_id, rid] : rows_) ids.push_back(row_id);
-  return ids;
-}
-
-std::vector<RowId> Table::RowIdsInRange(RowId begin, RowId end) const {
-  std::shared_lock<std::shared_mutex> lock(latch_);
-  std::vector<RowId> ids;
-  for (auto it = rows_.lower_bound(begin);
-       it != rows_.end() && it->first <= end; ++it) {
-    ids.push_back(it->first);
-  }
-  return ids;
-}
-
 std::vector<RowId> Table::VisibleRowIds(const MvccSnapshot& snap) const {
   return VisibleRowIdsInRange(0, UINT64_MAX, snap);
 }
@@ -695,9 +610,10 @@ Status Table::CreateIndex(const std::string& name,
   }
   BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<SecondaryIndex> index,
                          SecondaryIndex::Create(name, std::move(columns)));
-  BDBMS_RETURN_IF_ERROR(Scan([&](RowId row_id, const Row& row) {
-    return index->Insert(row, row_id);
-  }));
+  BDBMS_RETURN_IF_ERROR(
+      ForEachIndexedVersion([&](RowId row_id, const Row& row) {
+        return index->Insert(row, row_id);
+      }));
   indexes_.push_back(std::move(index));
   if (undo_ && undo_->recording()) {
     undo_->Record("create index " + name,
@@ -721,13 +637,24 @@ Status Table::CreateSequenceIndex(const std::string& name, size_t column) {
   }
   BDBMS_ASSIGN_OR_RETURN(std::unique_ptr<SequenceIndex> index,
                          SequenceIndex::Create(name, column));
-  BDBMS_RETURN_IF_ERROR(Scan([&](RowId row_id, const Row& row) {
-    return index->Insert(row[column], row_id);
-  }));
+  BDBMS_RETURN_IF_ERROR(
+      ForEachIndexedVersion([&](RowId row_id, const Row& row) {
+        return index->Insert(row[column], row_id);
+      }));
   seq_indexes_.push_back(std::move(index));
   if (undo_ && undo_->recording()) {
     undo_->Record("create sequence index " + name,
                   [this, name] { (void)DropIndex(name); });
+  }
+  return Status::Ok();
+}
+
+Status Table::ForEachIndexedVersion(
+    const std::function<Status(RowId, const Row&)>& fn) const {
+  std::shared_lock<std::shared_mutex> lock(latch_);
+  BDBMS_RETURN_IF_ERROR(ScanLocked(fn));
+  for (const auto& [row_id, mv] : mvcc_rows_) {
+    for (const RowVersion& v : mv.old) BDBMS_RETURN_IF_ERROR(fn(row_id, v.row));
   }
   return Status::Ok();
 }

@@ -91,7 +91,10 @@ class Table {
 
   // Validates against the schema and appends; returns the new RowId.
   // While an MVCC writer is ambient the new row is tagged with the
-  // writer's txn so only that transaction sees it until commit.
+  // writer's txn so only that transaction sees it until commit. Every
+  // mutator runs versioned under an ambient writer, with an undo record
+  // that discards the uncommitted version; with no writer (standalone
+  // tables, checkpoint restore) it writes a plain ancient row, no undo.
   Result<RowId> Insert(Row row);
 
   // Re-inserts a row under a specific RowId — the inverse of a DELETE
@@ -126,18 +129,6 @@ class Table {
   // Visits live rows in RowId order; `fn` returning non-OK stops the scan.
   Status Scan(const std::function<Status(RowId, const Row&)>& fn) const;
 
-  // Visits live rows with begin <= RowId <= end in RowId order — the
-  // pushdown primitive for RowId intervals coming from the annotation
-  // interval index (only annotated row ranges are fetched).
-  Status ScanRange(RowId begin, RowId end,
-                   const std::function<Status(RowId, const Row&)>& fn) const;
-
-  // Live RowIds, ascending (a snapshot; cheap, no heap reads).
-  std::vector<RowId> SnapshotRowIds() const;
-
-  // Live RowIds with begin <= RowId <= end, ascending.
-  std::vector<RowId> RowIdsInRange(RowId begin, RowId end) const;
-
   // RowIds with a version visible to `snap`, ascending. Includes rows
   // whose current version is deleted or not yet committed but whose chain
   // still holds a version the snapshot can see.
@@ -164,8 +155,9 @@ class Table {
 
   // --- secondary indexes ---------------------------------------------------
   // Builds a B+-tree index named `name` over the given columns (composite
-  // keys in column-list order) from the current rows; maintained by every
-  // subsequent Insert/Update/Delete.
+  // keys in column-list order) from the current rows and every retained
+  // superseded version (each version owns one entry, which Vacuum later
+  // removes); maintained by every subsequent Insert/Update/Delete.
   Status CreateIndex(const std::string& name, std::vector<size_t> columns);
   Status CreateIndex(const std::string& name, size_t column) {
     return CreateIndex(name, std::vector<size_t>{column});
@@ -242,9 +234,9 @@ class Table {
   size_t readahead_pages() const { return readahead_pages_; }
   void set_readahead_pages(size_t n) { readahead_pages_ = n; }
 
-  // Transactions: while `undo` is recording, every mutation pushes a
-  // logical compensation record. Compensations run through the same
-  // public mutators, so all index families are restored for free.
+  // Transactions: while `undo` is recording, every versioned mutation and
+  // index DDL pushes a compensation record that restores the prior state,
+  // index entries included.
   void set_undo_log(UndoLog* undo) { undo_ = undo; }
 
   // Installs the engine's ambient MVCC context. When `mvcc->writer` is
@@ -279,6 +271,14 @@ class Table {
   Status UpdateLocked(RowId row_id, Row row);
   Status DeleteLocked(RowId row_id);
   Status ScanLocked(const std::function<Status(RowId, const Row&)>& fn) const;
+
+  // Replaces the heap record of the live row at `it` with `row`.
+  Status RewriteLocked(std::map<RowId, RecordId>::iterator it, const Row& row);
+
+  // Visits every live row and every retained superseded version: the
+  // versions an index must hold one entry each for.
+  Status ForEachIndexedVersion(
+      const std::function<Status(RowId, const Row&)>& fn) const;
 
   // First-updater-wins check for Update/Delete under an ambient writer.
   Status CheckWriteConflictLocked(RowId row_id, const MvccWriter& w) const;

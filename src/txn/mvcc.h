@@ -16,7 +16,8 @@ class AnnotationTable;
 // isolation. `csn` is the newest commit sequence number whose effects the
 // snapshot sees; `txn_id` identifies the owning transaction so it also
 // sees its own uncommitted writes (read-your-own-writes). Captured at
-// BEGIN for explicit transactions and per statement in autocommit.
+// BEGIN for explicit transactions (and moved up to the newest commit when
+// one escalates to the exclusive gate) and per statement in autocommit.
 struct MvccSnapshot {
   uint64_t csn = 0;
   uint64_t txn_id = 0;  // 0 = pure reader with no writes of its own
@@ -47,10 +48,10 @@ struct MvccWriter {
 };
 
 // The ambient MVCC context shared by the engine facade and every storage
-// object. `writer` is non-null exactly while a mutating statement of a
-// versioned (concurrent) transaction executes — installed and cleared
-// under the engine's writer mutex, so storage mutators never observe a
-// torn pointer.
+// object. `writer` is non-null exactly while a mutating statement
+// executes (autocommit or inside a transaction, under either side of the
+// gate) — installed and cleared under the engine's writer mutex, so
+// storage mutators never observe a torn pointer.
 struct MvccState {
   MvccWriter* writer = nullptr;
 };

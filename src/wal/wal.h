@@ -35,14 +35,12 @@ struct WalRecord {
   std::string sql;     // original statement text, re-parsed on replay
   WalRecordKind kind = WalRecordKind::kStatement;
 
-  // --- MVCC extension (appended after sql; old logs decode to defaults).
-  // `versioned` marks records written under snapshot-isolation concurrent
-  // execution; replay re-installs an MVCC writer with `snapshot` as its
-  // snapshot CSN instead of running the legacy exclusive path.
-  uint8_t versioned = 0;
+  // Snapshot CSN the statement ran under. Every mutating statement runs
+  // as an MVCC transaction, and replay re-installs a writer with this
+  // snapshot so visibility and first-updater-wins decide as they did.
   uint64_t snapshot = 0;
-  // Commit CSN of a versioned record: carried on autocommit kStatement
-  // records and on a transaction's kTxnCommit marker; 0 when the
+  // Commit CSN: carried on autocommit kStatement records and on a
+  // transaction's kTxnCommit marker; 0 when the
   // statement/transaction wrote nothing. Journaling the CSN (instead of
   // re-deriving it at replay) keeps visibility decisions bit-identical
   // even when aborted transactions burned CSN-free txn ids in between.
@@ -61,11 +59,16 @@ struct WalRecord {
 //
 //   u32 crc   CRC-32 of the len field + payload
 //   u32 len   payload length in bytes
-//   payload   u64 lsn, u64 clock, u8 kind, str user, str sql
+//   payload   u64 lsn, u64 clock, u8 kind, str user, str sql,
+//             u64 snapshot, u64 csn,
+//             u32 n, n x (str table, u64 next_row_id),
+//             u32 m, m x (str annotation table, u64 next_id)
 //             (serializer.h)
 //
 // The crc covers len, so a torn length prefix is indistinguishable from a
 // torn payload: both fail the checksum and recovery cuts the log there.
+// A record whose checksum holds but whose payload does not decode to
+// exactly these fields is Corruption, not a torn tail.
 std::string EncodeWalRecord(const WalRecord& rec);
 
 // What a log scan found. `records` is the longest prefix of intact
@@ -84,8 +87,9 @@ struct WalScan {
 
 // Decodes `data` (a whole WAL file) into the longest valid record prefix.
 // Never fails on torn/corrupt tails — that is the expected crash shape —
-// but does fail on non-monotonic LSNs, which indicate a mixed-up file
-// rather than a crash.
+// but does fail on non-monotonic LSNs and on checksummed records that do
+// not decode completely, which indicate a mixed-up file rather than a
+// crash.
 Result<WalScan> ScanWal(std::string_view data);
 
 // Appends CRC-framed statement records to the log file. Append() hands the

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "core/database.h"
 #include "durability_test_util.h"
 #include "storage/pager.h"
@@ -86,6 +87,43 @@ TEST(WalFormatTest, NonMonotonicLsnIsCorruption) {
   auto scan = ScanWal(log);
   ASSERT_FALSE(scan.ok());
   EXPECT_TRUE(scan.status().IsCorruption());
+}
+
+TEST(WalFormatTest, RoundTripsSnapshotCsnAndIdBases) {
+  WalRecord rec{7, 12, "alice", "UPDATE T SET x = 2"};
+  rec.snapshot = 41;
+  rec.csn = 42;
+  rec.row_bases = {{"T", 9}, {"U", 0}};
+  rec.ann_bases = {{"T.Notes", 3}};
+  auto scan = ScanWal(EncodeWalRecord(rec));
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->records.size(), 1u);
+  EXPECT_EQ(scan->records[0], rec);
+}
+
+// Frames `payload` as EncodeWalRecord does: crc32(len + payload), len.
+std::string FrameWalPayload(const std::string& payload) {
+  auto le32 = [](uint32_t v) {
+    std::string out(4, '\0');
+    for (size_t i = 0; i < 4; ++i) out[i] = static_cast<char>(v >> (8 * i));
+    return out;
+  };
+  std::string body = le32(static_cast<uint32_t>(payload.size())) + payload;
+  return le32(Crc32(body)) + body;
+}
+
+TEST(WalFormatTest, ChecksummedRecordThatDoesNotDecodeExactlyIsCorruption) {
+  const std::string payload =
+      EncodeWalRecord({1, 10, "admin", "CREATE TABLE T (x INT)"}).substr(8);
+  ASSERT_TRUE(ScanWal(FrameWalPayload(payload)).ok());
+  // A valid checksum rules out a torn append, so a record that decodes
+  // short or long is a mixed-up file, never a tail to discard.
+  for (const std::string& bad :
+       {payload + '\0', payload.substr(0, payload.size() - 1)}) {
+    auto scan = ScanWal(FrameWalPayload(bad));
+    ASSERT_FALSE(scan.ok()) << bad.size();
+    EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
+  }
 }
 
 // --- Pager sync satellite -------------------------------------------------

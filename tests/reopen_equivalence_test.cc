@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/session.h"
 #include "durability_test_util.h"
 
 namespace bdbms {
@@ -254,6 +255,46 @@ TEST(ReopenEquivalenceTest, CheckpointedRunMatchesUncheckpointedRun) {
     EXPECT_EQ(Observe(**db, probe), Observe(ref, probe)) << probe.sql;
   }
   EXPECT_EQ(Fingerprint(**db), Fingerprint(ref));
+}
+
+TEST(ReopenEquivalenceTest, EscalatedTransactionReplaysPastForeignCommit) {
+  // Session A writes inside a transaction, session B then autocommits an
+  // update of row k = 1, and A escalates (CREATE INDEX) and updates that
+  // row too. Escalation moved A's snapshot past B's commit, so the update
+  // is no write-write conflict; replay must run every group member under
+  // its own journaled snapshot, or first-updater-wins rejects it and
+  // recovery stops with "WAL replay diverged".
+  std::string dir = FreshDir("reopen_escalated_txn");
+  std::string before;
+  {
+    auto db = Database::Open(dir, DurableOpts());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    Session a(db->get(), "admin");
+    Session b(db->get(), "admin");
+    for (const char* sql :
+         {"CREATE TABLE T (k INT, v INT)",
+          "INSERT INTO T VALUES (0, 0), (1, 1), (2, 2)", "BEGIN",
+          "UPDATE T SET v = 10 WHERE k = 0"}) {
+      auto r = a.Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    }
+    auto foreign = b.Execute("UPDATE T SET v = 20 WHERE k = 1");
+    ASSERT_TRUE(foreign.ok()) << foreign.status().ToString();
+    for (const char* sql :
+         {"CREATE INDEX tk ON T (k)", "UPDATE T SET v = v + 10 WHERE k = 1",
+          "INSERT INTO T VALUES (3, 3)", "COMMIT"}) {
+      auto r = a.Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    }
+    auto rows = a.Execute("SELECT k, v FROM T ORDER BY k");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->ToString(), "k | v\n0 | 10\n1 | 30\n2 | 2\n3 | 3\n");
+    before = Fingerprint(**db);
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = Database::Open(dir, DurableOpts());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(Fingerprint(**db), before);
 }
 
 }  // namespace
